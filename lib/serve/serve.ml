@@ -1535,7 +1535,19 @@ let rec accept_loop t h =
         accept_loop t h
   end
 
+(* A client that hangs up before its response is written must cost one
+   EPIPE (booked as errors.io by the writers), not the process: the
+   default SIGPIPE disposition kills it first. Set once per process. *)
+let sigpipe_ignored = Atomic.make false
+
+let ignore_sigpipe () =
+  if not (Atomic.get sigpipe_ignored) then begin
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+    Atomic.set sigpipe_ignored true
+  end
+
 let start t addr =
+  ignore_sigpipe ();
   (* kept for API stability: the accept loop now runs on its own domain,
      but a serving pool sized for a single task has no headroom for the
      connection handlers it queues *)
@@ -1637,6 +1649,8 @@ let stop h =
 
 module Client = struct
   let request_full ?body ?(headers = []) ?(timeout_s = 30.) addr ~meth ~path =
+    (* a server that closes mid-request surfaces as EPIPE, not a kill *)
+    ignore_sigpipe ();
     let domain, sockaddr =
       match addr with
       | Unix_sock p -> (Unix.PF_UNIX, Unix.ADDR_UNIX p)
@@ -1664,61 +1678,74 @@ module Client = struct
         Buffer.add_string req "Connection: close\r\n\r\n";
         Buffer.add_string req payload;
         let req = Buffer.contents req in
-        write_all fd req 0 (String.length req);
-        (* parse the head region only — never split or copy the body
-           along the way, and read it in 64 KiB chunks (the old client
-           buffered 4 KiB at a time and then split the entire multi-MB
-           response on '\n' to find the status line) *)
-        let rb = recv_create 65536 in
-        let on_eof () = failwith "malformed HTTP response (no header terminator)" in
-        let hdr_end =
-          recv_head rb fd ~on_eof ~too_large:(fun () -> failwith "response headers too large")
+        (* a server may answer before it has read the request (a shed
+           503, a 413): a send cut short by its close still leaves that
+           answer to read, and only when there is none does the send
+           error stand *)
+        let write_error =
+          match write_all fd req 0 (String.length req) with
+          | () -> None
+          | exception (Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) as e) -> Some e
         in
-        let status_line, resp_headers = parse_head (Bytes.sub_string rb.rb_data 0 hdr_end) in
-        let status =
-          let bad () = failwith "malformed HTTP status line" in
-          match Slice.index_opt status_line ' ' with
-          | None -> bad ()
-          | Some i -> (
-              let rest =
-                Slice.sub status_line ~pos:(i + 1) ~len:(Slice.length status_line - i - 1)
-              in
-              let code =
-                match Slice.index_opt rest ' ' with
-                | None -> rest
-                | Some j -> Slice.sub rest ~pos:0 ~len:j
-              in
-              match int_of_string_opt (Slice.to_string code) with
-              | Some c -> c
-              | None -> bad ())
+        let read_response () =
+          (* parse the head region only — never split or copy the body
+             along the way, and read it in 64 KiB chunks (the old client
+             buffered 4 KiB at a time and then split the entire multi-MB
+             response on '\n' to find the status line) *)
+          let rb = recv_create 65536 in
+          let on_eof () = failwith "malformed HTTP response (no header terminator)" in
+          let hdr_end =
+            recv_head rb fd ~on_eof ~too_large:(fun () -> failwith "response headers too large")
+          in
+          let status_line, resp_headers = parse_head (Bytes.sub_string rb.rb_data 0 hdr_end) in
+          let status =
+            let bad () = failwith "malformed HTTP status line" in
+            match Slice.index_opt status_line ' ' with
+            | None -> bad ()
+            | Some i -> (
+                let rest =
+                  Slice.sub status_line ~pos:(i + 1) ~len:(Slice.length status_line - i - 1)
+                in
+                let code =
+                  match Slice.index_opt rest ' ' with
+                  | None -> rest
+                  | Some j -> Slice.sub rest ~pos:0 ~len:j
+                in
+                match int_of_string_opt (Slice.to_string code) with
+                | Some c -> c
+                | None -> bad ())
+          in
+          let body_start = hdr_end + 4 in
+          let rbody =
+            match
+              Option.bind (List.assoc_opt "content-length" resp_headers) int_of_string_opt
+            with
+            | Some need when need >= 0 ->
+                recv_body rb fd ~body_start ~need ~on_eof:(fun () ->
+                    failwith "connection closed before response body")
+            | _ ->
+                (* no Content-Length: drain to EOF — but bounded. The old
+                   loop read forever against a trickling peer; cap the
+                   bytes at the server's own body limit and the time at
+                   [timeout_s]. *)
+                let deadline = Unix.gettimeofday () +. timeout_s in
+                let rec drain () =
+                  if rb.rb_len - body_start > max_body_bytes then
+                    failwith "response body exceeds 16MiB with no Content-Length";
+                  if Unix.gettimeofday () > deadline then
+                    failwith "timed out draining response body";
+                  match recv_read rb fd ~on_eof:(fun () -> raise Exit) with
+                  | () -> drain ()
+                  | exception Exit -> ()
+                in
+                drain ();
+                Bytes.sub_string rb.rb_data body_start (rb.rb_len - body_start)
+          in
+          (status, resp_headers, rbody)
         in
-        let body_start = hdr_end + 4 in
-        let rbody =
-          match
-            Option.bind (List.assoc_opt "content-length" resp_headers) int_of_string_opt
-          with
-          | Some need when need >= 0 ->
-              recv_body rb fd ~body_start ~need ~on_eof:(fun () ->
-                  failwith "connection closed before response body")
-          | _ ->
-              (* no Content-Length: drain to EOF — but bounded. The old
-                 loop read forever against a trickling peer; cap the
-                 bytes at the server's own body limit and the time at
-                 [timeout_s]. *)
-              let deadline = Unix.gettimeofday () +. timeout_s in
-              let rec drain () =
-                if rb.rb_len - body_start > max_body_bytes then
-                  failwith "response body exceeds 16MiB with no Content-Length";
-                if Unix.gettimeofday () > deadline then
-                  failwith "timed out draining response body";
-                match recv_read rb fd ~on_eof:(fun () -> raise Exit) with
-                | () -> drain ()
-                | exception Exit -> ()
-              in
-              drain ();
-              Bytes.sub_string rb.rb_data body_start (rb.rb_len - body_start)
-        in
-        (status, resp_headers, rbody))
+        match write_error with
+        | None -> read_response ()
+        | Some e -> ( try read_response () with _ -> raise e))
 
   let request ?body ?headers ?timeout_s addr ~meth ~path =
     let status, _, body = request_full ?body ?headers ?timeout_s addr ~meth ~path in

@@ -235,7 +235,10 @@ type addr =
 type handle
 
 val start : t -> addr -> handle
-(** Bind, listen, and submit the accept loop to the pool. Raises
+(** Bind, listen, and submit the accept loop to the pool. Sets SIGPIPE
+    to ignored for the whole process, so a client that hangs up before
+    its response is written costs an [errors.io] count, not the
+    process. Raises
     [Invalid_argument] on a pool with fewer than 2 workers (the loop
     would starve the connection handlers), [Unix.Unix_error] on bind
     failures. *)
@@ -252,7 +255,9 @@ val stop : handle -> unit
     metric. The drain is recorded as a ["serve.drain"] span. Idempotent. *)
 
 (** A minimal blocking HTTP/1.1 client for the same protocol: the load
-    generator, the CLI's [depsurf query], and the e2e tests. *)
+    generator, the CLI's [depsurf query], and the e2e tests. Requests
+    set SIGPIPE to ignored, so a server that closes mid-request raises
+    [Unix.Unix_error EPIPE] instead of killing the caller. *)
 module Client : sig
   val request :
     ?body:string ->

@@ -23,6 +23,9 @@ let quantile q = function
       let hi = int_of_float (Float.ceil rank) in
       if lo = hi then a.(lo) else a.(lo) +. ((rank -. float_of_int lo) *. (a.(hi) -. a.(lo)))
 
+let median xs = quantile 0.5 xs
+let iqr xs = quantile 0.75 xs -. quantile 0.25 xs
+
 let max_over f = List.fold_left (fun acc x -> Float.max acc (f x)) 0.
 
 let ratio_scaled n rate =
@@ -66,4 +69,42 @@ module Reservoir = struct
   let max_seen t = if t.r_count = 0 then 0. else t.r_max
   let stddev t = stddev (values t)
   let quantile t q = quantile q (values t)
+end
+
+module Ab = struct
+  let run ?(warmup = 1) ~pairs a b =
+    for _ = 1 to warmup do
+      ignore (a ());
+      ignore (b ())
+    done;
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let ra = a () in
+          (ra, b ())
+        else
+          let rb = b () in
+          (a (), rb))
+
+  type summary = { median_a : float; median_b : float; change : float; change_iqr : float }
+
+  let summarize pairs =
+    let changes = List.map (fun (a, b) -> (b /. a) -. 1.) pairs in
+    {
+      median_a = median (List.map fst pairs);
+      median_b = median (List.map snd pairs);
+      change = median changes;
+      change_iqr = iqr changes;
+    }
+
+  type budget =
+    | Overhead of { rel : float; slack : float }
+    | Slowdown of { factor : float; slack : float }
+
+  let allowed budget a =
+    match budget with
+    | Overhead { rel; slack } -> (a *. (1. +. rel)) +. slack
+    | Slowdown { factor; slack } -> Float.max (a *. factor) (a +. slack)
+
+  let admits budget ~a ~b = b <= allowed budget a
+  let within budget pairs = median (List.map (fun (a, b) -> b -. allowed budget a) pairs) <= 0.
 end

@@ -70,9 +70,6 @@ let run_scenario sockaddr sc =
   in
   Fun.protect ~finally:close (fun () ->
       Unix.connect fd sockaddr;
-      (* a misbehaving client must never block the harness: the server
-         closing on us mid-send (EPIPE) is an expected outcome *)
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
       List.iter
         (fun step ->
           if not !closed then
@@ -130,8 +127,95 @@ let check_scenario sc raw =
             fail "%s: status %d outside the allowed set" (Chaos.name sc) st;
           if st >= 400 then check_envelope sc st (body_of_response raw))
 
+(* Hang-up leg against a real `depsurf serve` child process: clients
+   that send a large GET and close before reading a byte. The server
+   must book each as errors.io and keep answering (a SIGPIPE death shows
+   as a refused /v1/healthz), then still drain to exit 0 on SIGTERM.
+   The child is spawned with SIGPIPE at its default disposition, so an
+   ignore inherited from this process cannot mask the bug. *)
+let hangup_leg cli =
+  let dir = Filename.temp_file "depsurf-hangup" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock = Filename.concat dir "serve.sock" in
+  let log_path = Filename.concat dir "serve.log" in
+  let log = Unix.openfile log_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+  let saved = Sys.signal Sys.sigpipe Sys.Signal_default in
+  let pid =
+    Unix.create_process cli
+      [| cli; "serve"; "--socket"; sock; "--cache-dir"; Filename.concat dir "cache" |]
+      Unix.stdin log log
+  in
+  Sys.set_signal Sys.sigpipe saved;
+  Unix.close log;
+  let addr = Serve.Unix_sock sock in
+  let rec await_socket tries =
+    if (not (Sys.file_exists sock)) && tries > 0 then begin
+      Unix.sleepf 0.1;
+      await_socket (tries - 1)
+    end
+  in
+  await_socket 600;
+  let get path =
+    match Serve.Client.request ~timeout_s:30. addr ~meth:"GET" ~path with
+    | r -> Some r
+    | exception e ->
+        fail "hangup: GET %s: %s" path (Printexc.to_string e);
+        None
+  in
+  let errors_io () =
+    match get "/v1/metrics" with
+    | Some (200, body) -> (
+        match Json.member "counters" (Api.data (Json.of_string body)) with
+        | Some c -> ( match Json.member "errors.io" c with Some (Json.Int n) -> n | _ -> 0)
+        | None -> 0)
+    | _ -> -1
+  in
+  let path = "/v1/surface/5.4-x86-generic" in
+  (match get path with
+  | Some (200, body) -> Printf.printf "hangup: %s is %d bytes\n%!" path (String.length body)
+  | Some (st, _) -> fail "hangup: first GET %s answered %d" path st
+  | None -> ());
+  let io_before = errors_io () in
+  let hangups = 20 in
+  for _ = 1 to hangups do
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (try
+       Unix.connect fd (Unix.ADDR_UNIX sock);
+       let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\n\r\n" path in
+       ignore (Unix.write_substring fd req 0 (String.length req))
+     with Unix.Unix_error (e, _, _) -> fail "hangup: connect/send: %s" (Unix.error_message e));
+    Unix.close fd
+  done;
+  (* the hung-up responses are written after we closed: give the server
+     a moment to finish failing them *)
+  Unix.sleepf 0.5;
+  (match get "/v1/healthz" with
+  | Some (200, _) -> ()
+  | Some (st, _) -> fail "hangup: /v1/healthz answered %d after %d hang-ups" st hangups
+  | None -> ());
+  let io_after = errors_io () in
+  if io_after <= io_before then
+    fail "hangup: errors.io did not move (%d -> %d) over %d hang-ups" io_before io_after hangups;
+  Unix.kill pid Sys.sigterm;
+  let _, status = Unix.waitpid [] pid in
+  (match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED n -> fail "hangup: serve exited %d after SIGTERM" n
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> fail "hangup: serve killed by signal %d" n);
+  let served_log = In_channel.with_open_bin log_path In_channel.input_all in
+  if Ds_util.Strutil.find_sub served_log ~sub:"depsurf serve: stopped" = None then
+    fail "hangup: serve did not log a clean drain:\n%s" served_log;
+  Printf.printf "hangup: %d hang-ups, errors.io %d -> %d, healthz 200, drained on SIGTERM\n%!"
+    hangups io_before io_after;
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+
 let () =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  (match Sys.argv with
+  | [| _; cli |] -> hangup_leg cli
+  | _ ->
+      prerr_endline "usage: chaos_main DEPSURF_CLI";
+      exit 2);
   let ds = Dataset.build ~seed:42L Calibration.test_scale in
   let dir = Filename.temp_file "depsurf-chaos" "" in
   Sys.remove dir;

@@ -240,6 +240,56 @@ let test_quantile () =
   Alcotest.(check (float 1e-9)) "empty" 0. (Stats.quantile 0.5 []);
   Alcotest.(check (float 1e-9)) "singleton" 7. (Stats.quantile 0.99 [ 7. ])
 
+(* sort-based reference for the linearly interpolated quantile *)
+let ref_quantile q xs =
+  match List.sort compare xs with
+  | [] -> 0.
+  | sorted ->
+      let rank = q *. float_of_int (List.length sorted - 1) in
+      let lo = List.nth sorted (int_of_float (Float.floor rank)) in
+      let hi = List.nth sorted (int_of_float (Float.ceil rank)) in
+      lo +. ((rank -. Float.floor rank) *. (hi -. lo))
+
+let samples = QCheck.(list_of_size Gen.(int_range 1 40) (float_range 0.001 100.))
+
+let qcheck_median_iqr =
+  QCheck.Test.make ~name:"median and IQR match a sort-based reference" ~count:500 samples
+    (fun xs ->
+      let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs b) in
+      close (Stats.median xs) (ref_quantile 0.5 xs)
+      && close (Stats.iqr xs) (ref_quantile 0.75 xs -. ref_quantile 0.25 xs))
+
+let test_ab_order () =
+  let log = Buffer.create 16 in
+  let side c () = Buffer.add_char log c in
+  let pairs = Stats.Ab.run ~warmup:1 ~pairs:4 (side 'a') (side 'b') in
+  Alcotest.(check int) "pairs" 4 (List.length pairs);
+  Alcotest.(check string) "warm-up, then alternating order" "ababbaabba" (Buffer.contents log)
+
+(* Feed the sampler pre-drawn sides through its own run order: pair [i]
+   gets the [i]-th A sample and the [i]-th B sample whichever side runs
+   first. *)
+let feed xs ys =
+  let next q () = match !q with v :: rest -> q := rest; v | [] -> assert false in
+  Stats.Ab.run ~warmup:0 ~pairs:(List.length xs) (next (ref xs)) (next (ref ys))
+
+let budget_gen =
+  QCheck.(
+    map
+      (fun (slowdown, r, s) ->
+        if slowdown then Stats.Ab.Slowdown { factor = 1. +. r; slack = s }
+        else Stats.Ab.Overhead { rel = r; slack = s })
+      (triple bool (float_range 0. 1.) (float_range 0. 0.1)))
+
+let qcheck_ab_verdict =
+  QCheck.Test.make ~name:"A/B gate fails over its budget and passes under it" ~count:500
+    QCheck.(pair budget_gen (list_of_size Gen.(int_range 1 40) (float_range 0.001 10.)))
+    (fun (budget, xs) ->
+      let verdict scale =
+        Stats.Ab.within budget (feed xs (List.map (fun a -> Stats.Ab.allowed budget a *. scale) xs))
+      in
+      verdict 0.999 && not (verdict 1.001))
+
 let test_reservoir () =
   let r = Stats.Reservoir.create ~capacity:16 () in
   for i = 1 to 10 do
@@ -562,6 +612,9 @@ let suites =
     ( "util.stats",
       [
         Alcotest.test_case "quantile" `Quick test_quantile;
+        QCheck_alcotest.to_alcotest qcheck_median_iqr;
+        Alcotest.test_case "A/B order alternates" `Quick test_ab_order;
+        QCheck_alcotest.to_alcotest qcheck_ab_verdict;
         Alcotest.test_case "reservoir" `Quick test_reservoir;
         Alcotest.test_case "metrics" `Quick test_metrics;
         Alcotest.test_case "metrics domain hammer" `Quick test_metrics_domain_hammer;
